@@ -43,7 +43,13 @@ from repro.metrics.breakdown import Breakdown
 from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
 from repro.optix.gas import build_gas, refit_gas
 from repro.optix.pipeline import Pipeline
-from repro.utils.validate import as_points, check_positive, check_positive_int
+from repro.utils.validate import (
+    as_points,
+    check_cloud_domain,
+    check_positive,
+    check_positive_int,
+    check_radius,
+)
 
 #: modeled bytes per point shipped over PCIe (float32 x, y, z)
 POINT_BYTES = 12
@@ -154,6 +160,7 @@ class RTNNEngine:
         cache_capacity: int | None = None,
     ):
         self.points = as_points(points, "points")
+        check_cloud_domain(self.points)
         self.device = device
         self.config = config or RTNNConfig()
         self.tracer = tracer if tracer is not None else NULL_TRACER
@@ -427,7 +434,7 @@ class RTNNEngine:
         launch loop, the report — runs once over the union.
         """
         groups = [as_points(g, "queries") for g in groups]
-        radius = check_positive(radius, "radius")
+        radius = check_radius(radius)
         k = check_positive_int(k, "k")
         cfg = self.config
         if cfg.parallel_bundles is not None:
@@ -880,6 +887,7 @@ class RTNNEngine:
         run's ``bvh`` category.
         """
         pts = as_points(points, "points")
+        check_cloud_domain(pts)
         # Seed radii are density-derived: any movement of the cloud
         # invalidates them, or a post-refit true_knn run would walk a
         # radius schedule seeded from the old positions.

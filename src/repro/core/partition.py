@@ -24,8 +24,12 @@ prose, which speaks of the sphere-inscribed cube):
   test enabled, because valid neighbors may lie between the inscribed
   cube and the sphere.
 
-Box point-counts use the grid's 3-D summed-area table, so each growth
-iteration is O(active queries) regardless of megacell volume.
+Box point-counts come from :meth:`UniformGrid.count_in_boxes`, which
+picks one of two exact counters by grid fineness: a 3-D summed-area
+table for grids of at most 64 cells per point (O(cells) to build, O(1)
+per box), and a sparse counter over the sorted cell ids for finer grids
+(O(N log N) to build, O((2g+1)^2 log N) per level-``g`` box). Either way
+a growth iteration is one vectorized pass over the active queries.
 """
 
 from __future__ import annotations

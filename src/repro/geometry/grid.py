@@ -7,27 +7,31 @@ The uniform grid is the workhorse substrate for three distinct roles:
   box of cells around each query;
 * point-density estimation for the bundling cost model.
 
-Binning uses a counting sort: points are bucketed by flattened cell id
-and stored contiguously, with ``cell_start/cell_count`` CSR-style
-offsets, so "all points in cell c" is a contiguous slice. The CSR
-arrays (and the summed-area table) are O(total cells) to build, which
-dwarfs O(points) work on fine grids — both are built lazily, and
-box counting falls back to direct per-point dominance tests when the
-grid is much finer than the point set, so megacell partitioning never
-pays for cells nobody occupies.
+Points are bucketed by flattened cell id with ``cell_start/cell_count``
+CSR-style offsets, so "all points in cell c" is a contiguous slice.
+The CSR arrays are O(total cells) to build, so they are built lazily.
+
+Box counts (megacell growth) use one of two exact counters:
+
+* grids of at most 64 cells per point: a summed-area table, O(cells)
+  to build and O(1) per box;
+* finer grids: binary searches over the sorted cell ids, O(N log N)
+  to build and O((2g+1)^2 log N) per level-``g`` box, so megacell
+  partitioning never pays for cells nobody occupies.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.aabb import scene_bounds
 from repro.geometry.sat import SummedAreaTable3D
 
 #: build the SAT only when the grid is at most this many cells per
-#: point; finer grids answer box counts by direct dominance tests
+#: point; finer grids answer box counts from the sorted cell ids
 _DIRECT_CELLS_PER_POINT = 64
-#: cap on (boxes x points) comparison elements materialized at once
-_DIRECT_CHUNK_ELEMS = 1 << 22
+#: box columns (two search keys each) evaluated at once by the sparse counter
+_SPARSE_CHUNK_COLUMNS = 1 << 15
 
 
 class UniformGrid:
@@ -59,18 +63,18 @@ class UniformGrid:
             raise ValueError(f"cell_size must be positive, got {cell_size}")
 
         if bounds is None:
-            lo = points.min(axis=0)
-            hi = points.max(axis=0)
+            lo, hi = scene_bounds(points)
         else:
             lo = np.asarray(bounds[0], dtype=np.float64)
             hi = np.asarray(bounds[1], dtype=np.float64)
-        extent = np.maximum(hi - lo, 1e-12)
+        extent = np.maximum(hi - lo, 0.0)
 
-        res = np.maximum(np.ceil(extent / cell_size).astype(np.int64), 1)
-        # Respect the memory cap by coarsening isotropically if needed.
-        while int(np.prod(res)) > max_cells:
+        res = np.maximum(np.ceil(extent / cell_size), 1.0)
+        # Coarsen isotropically to the memory cap (in float: int64 overflows).
+        while np.prod(res) > max_cells:
             cell_size *= 2.0
-            res = np.maximum(np.ceil(extent / cell_size).astype(np.int64), 1)
+            res = np.maximum(np.ceil(extent / cell_size), 1.0)
+        res = res.astype(np.int64)
 
         self.points = points
         self.lo = lo
@@ -81,7 +85,6 @@ class UniformGrid:
 
         self._point_cells = self.cell_coords(points)
         self._flat = self.flatten(self._point_cells)
-        self._cells_t = None
         self._point_order = None
         self._sorted_flat = None
         self._cell_count = None
@@ -96,15 +99,14 @@ class UniformGrid:
     def point_order(self) -> np.ndarray:
         """Grid-sorted original point indices (counting sort)."""
         if self._point_order is None:
-            order = np.argsort(self._flat, kind="stable")
-            self._point_order = order
-            self._sorted_flat = self._flat[order]
+            self._point_order = np.argsort(self._flat, kind="stable")
         return self._point_order
 
     @property
     def sorted_flat(self) -> np.ndarray:
-        """Flat cell id of each point, in ``point_order``."""
-        self.point_order
+        """Flat cell id of each point, ascending (i.e. in ``point_order``)."""
+        if self._sorted_flat is None:
+            self._sorted_flat = np.sort(self._flat)
         return self._sorted_flat
 
     @property
@@ -135,10 +137,6 @@ class UniformGrid:
         """Flatten ``(M, 3)`` cell coordinates to linear cell ids."""
         nx, ny, nz = self.res
         return (idx3[:, 0] * ny + idx3[:, 1]) * nz + idx3[:, 2]
-
-    def cell_center(self, idx3: np.ndarray) -> np.ndarray:
-        """World-space centers of cells given integer coordinates."""
-        return self.lo + (np.asarray(idx3, dtype=np.float64) + 0.5) * self.cell_size
 
     # ------------------------------------------------------------------
     # contents
@@ -183,12 +181,10 @@ class UniformGrid:
         """Points contained in inclusive cell-coordinate boxes, batched.
 
         ``lo3``/``hi3`` are ``(M, 3)`` integer corner coordinates
-        (inclusive on both ends) with the same clipping semantics as
-        :meth:`SummedAreaTable3D.box_sums` — the kernel that makes
-        megacell growth cheap. Grids much finer than the point set
-        (where the O(total cells) table would dominate) are answered by
-        direct per-point dominance tests instead; both paths return the
-        exact same counts (asserted in ``tests/test_geometry_grid.py``).
+        (inclusive on both ends) with the clipping semantics of
+        :meth:`SummedAreaTable3D.box_sums`. Grids of more than 64 cells
+        per point skip the O(cells) table for the sparse counter; both
+        return the same counts (``tests/test_geometry_grid.py``).
         """
         if self._sat is None and (
             self.n_cells > _DIRECT_CELLS_PER_POINT * len(self.points)
@@ -197,12 +193,13 @@ class UniformGrid:
         return self.sat.box_sums(lo3, hi3)
 
     def _count_in_boxes_direct(self, lo3: np.ndarray, hi3: np.ndarray) -> np.ndarray:
-        """SAT-free box counts: test every point's cell against each box.
+        """Sparse box counts: binary searches over the sorted cell ids.
 
-        O(boxes x points) comparisons, chunked to bound peak memory —
-        cheap whenever points are scarce relative to cells. Clipping
-        replicates :meth:`SummedAreaTable3D.box_sums` exactly (including
-        boxes emptied or displaced by the clip).
+        Cell ids run with z fastest, so each (x, y) column of a box is
+        one id range, counted by a ``searchsorted`` pair on
+        :attr:`sorted_flat`; all boxes' columns go through in bounded
+        chunks. Clipping replicates :meth:`SummedAreaTable3D.box_sums`
+        exactly (including boxes emptied or displaced by the clip).
         """
         lo3 = np.asarray(lo3, dtype=np.int64)
         hi3 = np.asarray(hi3, dtype=np.int64)
@@ -210,26 +207,29 @@ class UniformGrid:
         if single:
             lo3 = lo3[None, :]
             hi3 = hi3[None, :]
-        lo = np.clip(lo3, 0, self.res - 1).astype(np.int32)
-        hi = np.clip(hi3, -1, self.res - 1).astype(np.int32)
-        if self._cells_t is None:
-            pc = self._point_cells.astype(np.int32)
-            self._cells_t = tuple(
-                np.ascontiguousarray(pc[:, axis]) for axis in range(3)
-            )
-        cx, cy, cz = self._cells_t
-        m = len(lo)
-        out = np.empty(m, dtype=np.int64)
-        chunk = max(int(_DIRECT_CHUNK_ELEMS // max(len(cx), 1)), 1)
-        for s in range(0, m, chunk):
-            e = min(s + chunk, m)
-            # per-axis column comparisons (no (chunk, N, 3) broadcast):
-            # ~3x less element work, and int32 halves the traffic
-            ok = (cx >= lo[s:e, 0, None]) & (cx <= hi[s:e, 0, None])
-            ok &= cy >= lo[s:e, 1, None]
-            ok &= cy <= hi[s:e, 1, None]
-            ok &= cz >= lo[s:e, 2, None]
-            ok &= cz <= hi[s:e, 2, None]
-            out[s:e] = np.count_nonzero(ok, axis=1)
-        out = np.where((hi < lo).any(axis=1), 0, out)
+        lo = np.clip(lo3, 0, self.res - 1)
+        hi = np.clip(hi3, -1, self.res - 1)
+        ids = self.sorted_flat
+        ny, nz = self.res[1], self.res[2]
+        # a box spanning all of z is one id range per x row: merge its
+        # columns (y span ``run``) so flat scenes cost O(rows), not O(cells)
+        wy = hi[:, 1] - lo[:, 1] + 1
+        whole_z = (lo[:, 2] == 0) & (hi[:, 2] == nz - 1)
+        run, wy = np.where(whole_z, wy, 1), np.where(whole_z, 1, wy)
+        cols = np.where((hi < lo).any(axis=1), 0, (hi[:, 0] - lo[:, 0] + 1) * wy)
+        ends = np.cumsum(cols)
+        starts = ends - cols
+        # id range of each box's first column; column (x, y) of the box
+        # shifts both ends by (x * ny + y) * nz
+        first = self.flatten(lo)
+        last = first + (run - 1) * nz + hi[:, 2] - lo[:, 2]
+        out = np.zeros(len(lo), dtype=np.int64)
+        for c0 in range(0, int(cols.sum()), _SPARSE_CHUNK_COLUMNS):
+            c = np.arange(c0, min(c0 + _SPARSE_CHUNK_COLUMNS, ends[-1]))
+            b = np.searchsorted(ends, c, side="right")  # owning box
+            x, y = np.divmod(c - starts[b], wy[b])
+            step = (x * ny + y) * nz
+            n = np.searchsorted(ids, last[b] + step, side="right")
+            n -= np.searchsorted(ids, first[b] + step, side="left")
+            np.add.at(out, b, n)
         return out[0] if single else out

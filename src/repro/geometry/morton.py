@@ -15,6 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.aabb import scene_bounds
+
 #: bits of quantization per axis for 3-D codes
 MORTON_BITS_3D = 21
 #: bits per axis for 2-D codes
@@ -58,18 +60,20 @@ def normalize_to_grid(points: np.ndarray, bits: int, lo=None, hi=None) -> np.nda
     """Quantize points into integer grid coordinates ``[0, 2**bits - 1]``.
 
     Points are scaled into the (optionally supplied) bounds; degenerate
-    axes (zero extent) map to coordinate 0.
+    axes (zero extent, or one so small its scale overflows) map to
+    coordinate 0.
     """
     points = np.asarray(points, dtype=np.float64)
-    if lo is None:
-        lo = points.min(axis=0)
-    if hi is None:
-        hi = points.max(axis=0)
+    if lo is None or hi is None:
+        bounds = scene_bounds(points)
+        lo = bounds[0] if lo is None else lo
+        hi = bounds[1] if hi is None else hi
     lo = np.asarray(lo, dtype=np.float64)
     hi = np.asarray(hi, dtype=np.float64)
     extent = hi - lo
-    extent = np.where(extent > 0.0, extent, 1.0)
-    scale = (2**bits - 1) / extent
+    with np.errstate(over="ignore"):
+        scale = (2**bits - 1) / np.where(extent > 0.0, extent, 1.0)
+    scale = np.where(np.isfinite(scale), scale, 0.0)
     coords = np.clip((points - lo) * scale, 0, 2**bits - 1)
     return coords.astype(np.uint64)
 

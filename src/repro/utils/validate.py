@@ -61,6 +61,36 @@ def check_finite(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} contains non-finite values (NaN or inf)")
 
 
+#: the engine's numeric domain: inside it, squared distances and the
+#: cubed megacell widths that partitioning divides by stay finite and
+#: nonzero. The radius ceiling clears the diameter of any in-domain
+#: cloud, which true-kNN radius expansion may grow to.
+MAX_ABS_COORD = 1e100
+RADIUS_DOMAIN = (1e-100, 1e102)
+
+
+def check_cloud_domain(points: np.ndarray, name: str = "points") -> None:
+    """Raise ``ValueError`` if a finite cloud has coordinates beyond
+    ``±MAX_ABS_COORD`` (their squared distances would overflow)."""
+    if points.size and np.abs(points).max() > MAX_ABS_COORD:
+        raise ValueError(
+            f"{name} has coordinates beyond ±{MAX_ABS_COORD:g}, outside the "
+            "engine's numeric domain; rescale the cloud"
+        )
+
+
+def check_radius(value: float, name: str = "radius") -> float:
+    """Validate a search radius against ``RADIUS_DOMAIN`` and return it."""
+    value = check_positive(value, name)
+    lo, hi = RADIUS_DOMAIN
+    if not lo <= value <= hi:
+        raise ValueError(
+            f"{name} {value:g} is outside the engine's numeric domain "
+            f"[{lo:g}, {hi:g}]; rescale the cloud and radius"
+        )
+    return value
+
+
 def check_positive(value: float, name: str) -> float:
     """Validate a strictly positive scalar and return it as ``float``."""
     value = float(value)

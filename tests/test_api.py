@@ -1,8 +1,12 @@
 """One-shot API and SearchSession tests."""
 
+import warnings
+
 import numpy as np
+import pytest
 
 from repro.api import SearchSession, knn_search, range_search
+from repro.baselines.brute import brute_force_true_knn
 from repro.core.engine import RTNNConfig
 from repro.gpu.device import RTX_2080TI
 
@@ -73,3 +77,45 @@ def test_session_with_config_and_update(cube_points, cube_queries):
     moved = np.asarray(cube_points) + 0.001
     assert session.update_points(moved) > 0.0
     assert (session.points == moved).all()
+
+
+@pytest.mark.parametrize("scale", [1e-310, 1e300], ids=["subnormal", "overflow"])
+def test_search_rejects_cloud_outside_numeric_domain(scale):
+    """A finite cloud too small or too large for float64 fails once, up
+    front, with ValueError — not with warnings and an arithmetic error
+    deep inside partitioning. The overflowing cloud is refused when the
+    session is built; the subnormal one builds, and its radius is
+    refused before any partitioning."""
+    pts = np.random.default_rng(0).random((500, 3)) * scale
+    radius = float(np.ptp(pts, axis=0).max()) / 10
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="numeric domain"):
+            SearchSession(pts).knn_search(pts, k=4, radius=radius)
+        if scale > 1:
+            session = SearchSession(np.random.default_rng(1).random((500, 3)))
+            with pytest.raises(ValueError, match="numeric domain"):
+                session.update_points(pts)
+
+
+@pytest.mark.parametrize(
+    "shape", ["planar", "duplicates", "small", "large", "tiny-radius"]
+)
+def test_session_answers_degenerate_clouds_inside_domain(shape):
+    pts = np.random.default_rng(0).random((500, 3))
+    if shape == "planar":
+        pts[:, 2] = 0.25
+    elif shape == "duplicates":
+        pts = np.repeat(pts[:50], 10, axis=0)
+    elif shape in ("small", "large"):
+        pts *= 1e-90 if shape == "small" else 1e90
+    radius = float(np.ptp(pts, axis=0).max()) / 10
+    if shape == "tiny-radius":
+        radius = 1e-20  # the requested grid cell would overflow int64 cells
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = SearchSession(pts).knn_search(pts, k=4, radius=radius)
+    ref = brute_force_true_knn(pts, pts, k=4)
+    outside = ref.sq_distances > radius * radius
+    assert np.array_equal(res.indices, np.where(outside, -1, ref.indices))
+    assert np.array_equal(res.sq_distances, np.where(outside, np.inf, ref.sq_distances))

@@ -3,14 +3,17 @@
 import numpy as np
 import pytest
 
+from repro.core.engine import RTNNConfig
 from repro.core.partition import (
     EQUIV_VOLUME_COEFF,
+    SQRT3,
     compute_megacells,
     default_cell_size,
     knn_aabb_width,
     make_partitions,
     make_spatial_shards,
 )
+from repro.datasets import nbody_like
 from repro.geometry.morton import morton_order
 
 
@@ -75,6 +78,50 @@ def test_total_growth_steps_counted():
     q = pts[:50]
     mc = compute_megacells(pts, q, radius=0.3, k=16)
     assert mc.total_growth_steps >= len(q)
+
+
+def test_megacells_exact_on_clustered_fine_grid():
+    """Engine-default grid over a clustered cloud: far finer than 64
+    cells per point, so growth runs on the sparse counter. Its result
+    must equal a per-query loop over the summed-area table."""
+    cfg = RTNNConfig()
+    pts = nbody_like(5000, seed=0)
+    far = pts.max(axis=0) + 50.0
+    queries = np.vstack([pts, [far, -far, [far[0], 0.0, 0.0]]])
+    radius, k = 16.0, 8
+    mc = compute_megacells(
+        pts,
+        queries,
+        radius,
+        k,
+        cell_size=default_cell_size(radius, cfg.cell_div),
+        max_grid_cells=cfg.max_grid_cells,
+    )
+    grid = mc.grid
+    assert grid.n_cells > 64 * len(pts) and grid._sat is None
+    assert mc.max_level == int(np.floor(radius / (SQRT3 * grid.cell_size))) - 1
+
+    level = np.zeros(len(queries), dtype=np.int64)
+    count = np.zeros(len(queries), dtype=np.int64)
+    top = grid.lo + grid.res * grid.cell_size
+    capped = ((queries < grid.lo) | (queries > top)).any(axis=1)
+    steps = 0
+    centers = grid.cell_coords(queries)
+    for i in np.flatnonzero(~capped):
+        for g in range(mc.max_level + 1):
+            level[i] = g
+            count[i] = grid.sat.box_sums(centers[i] - g, centers[i] + g)
+            steps += 1
+            if count[i] >= k:
+                break
+        else:
+            capped[i] = True
+
+    assert capped[-3:].all() and (level > 0).any() and (~capped).any()
+    assert np.array_equal(mc.level, level)
+    assert np.array_equal(mc.capped, capped)
+    assert np.array_equal(mc.count, count)
+    assert mc.total_growth_steps == steps
 
 
 def test_knn_aabb_width_modes():

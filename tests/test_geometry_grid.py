@@ -34,16 +34,47 @@ def test_cell_coords_clamped(grid):
     assert (c >= 0).all() and (c < g.res).all()
 
 
-def test_count_in_boxes_matches_bincount(grid):
-    g, pts = grid
+@pytest.mark.parametrize("cell_size", [0.1, 0.02], ids=["coarse", "fine"])
+def test_count_in_boxes_matches_bincount(cell_size):
+    """Both counters (SAT at <=64 cells/pt, sparse above) are exact."""
     rng = np.random.default_rng(1)
+    pts = np.random.default_rng(7).random((500, 3))
+    g = UniformGrid(pts, cell_size=cell_size)
+    fine = g.n_cells > 64 * len(pts)
+    assert fine == (cell_size == 0.02)
     lo = rng.integers(0, g.res, (30, 3))
     hi = np.minimum(lo + rng.integers(0, 4, (30, 3)), g.res - 1)
+    r = g.res
+    # clipped on both sides (spans all of z); clipped low in y and high
+    # in z; clipped low in z only; wholly past the high x edge (displaced
+    # onto the last x slab by the clip); then three empty boxes: wholly
+    # below x=0 (emptied by the clip), inverted in y, inverted in z
+    edge_lo = [
+        [-3, -3, -3], [2, -5, 1], [1, 1, -2], [r[0] + 2, 0, 0],
+        [-9, 0, 0], [3, 3, 3], [0, 0, r[2] - 1],
+    ]
+    edge_hi = [
+        r + 3, [r[0] - 2, 4, r[2]], [r[0] - 2, r[1] - 2, 3], r + 5,
+        [-4, 2, 2], [3, 1, 4], [r[0] - 1, r[1] - 1, 0],
+    ]
+    lo = np.vstack([lo, edge_lo])
+    hi = np.vstack([hi, edge_hi])
     got = g.count_in_boxes(lo, hi)
-    for i in range(30):
-        coords = g.cell_coords(pts)
-        inside = np.logical_and(coords >= lo[i], coords <= hi[i]).all(axis=1)
-        assert got[i] == inside.sum()
+    single = g.count_in_boxes(lo[0], hi[0])
+    assert (g._sat is None) == fine  # the fine grid took the sparse path
+    coords = g.cell_coords(pts)
+    cl_lo = np.clip(lo, 0, r - 1)
+    cl_hi = np.clip(hi, -1, r - 1)
+    brute = np.array(
+        [
+            np.logical_and(coords >= a, coords <= b).all(axis=1).sum()
+            for a, b in zip(cl_lo, cl_hi)
+        ]
+    )
+    assert np.array_equal(got, brute)
+    assert np.array_equal(got, g.sat.box_sums(lo, hi))
+    assert (got[-7:-3] > 0).all() and (got[-3:] == 0).all()
+    assert np.ndim(single) == 0 and single == got[0]
 
 
 def test_full_box_counts_everything(grid):
