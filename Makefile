@@ -31,8 +31,8 @@ baseline:
 bench:
 	$(PYTHON) -m repro.obs.bench
 
-# CI subset: counter-exact comparison only (including the parallel
-# fan-out twin vs its serial scenario), writes nothing.
+# CI subset: counter-exact comparison only (including the sharded
+# twin vs its single-engine scenario), writes nothing.
 bench-smoke:
 	$(PYTHON) -m repro.obs.bench --smoke
 

@@ -4,8 +4,8 @@ All baselines run functionally on the CPU but are *costed* on the same
 simulated device as RTNN, so Fig. 11-style speedups are ratios of
 modeled GPU time computed from mechanistic work/traffic counters:
 
-* :mod:`brute` — exact reference oracle (correctness tests only; no
-  cost model);
+* :mod:`brute` — the exact oracle (tests, the serving tier's degraded
+  paths and the workload oracles; no cost model);
 * :mod:`cunsearch` — uniform-grid fixed-radius search (cuNSearch);
 * :mod:`frnn` — uniform-grid K-nearest-within-radius (FRNN);
 * :mod:`pcl_octree` — adaptive linear octree radius/NN search

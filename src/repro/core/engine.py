@@ -29,7 +29,6 @@ from repro.core.expansion import (
     run_expansion,
     seed_radius,
 )
-from repro.core.parallel import BundleJob, execute_bundles, graft_spans
 from repro.core.partition import compute_megacells, default_cell_size, make_partitions
 from repro.core.queues import CountAccumulator, KnnQueueBatch, RangeAccumulator
 from repro.core.results import RunReport, SearchResults
@@ -40,7 +39,7 @@ from repro.geometry.ray import RayBatch, DEFAULT_DIRECTION, SHORT_RAY_TMAX
 from repro.gpu.costmodel import IsKind
 from repro.gpu.device import DeviceSpec, RTX_2080
 from repro.metrics.breakdown import Breakdown
-from repro.obs.tracer import NULL_TRACER, RecordingTracer, Tracer
+from repro.obs.tracer import NULL_TRACER, Tracer
 from repro.optix.gas import build_gas, refit_gas
 from repro.optix.pipeline import Pipeline
 from repro.utils.validate import (
@@ -90,12 +89,6 @@ class RTNNConfig:
     aabb_shrink:
         Section-8 approximation: scale uncapped partitions' AABB widths
         below the exact requirement (< 1 trades recall for speed).
-    parallel_bundles:
-        Fan independent per-bundle launches out over this many worker
-        threads (``None`` = serial, the default). Bundles own disjoint
-        query ids and GASes are resolved serially up front, so results,
-        counters, breakdown charges, and recorded spans are identical
-        to serial execution — only wall time changes.
     leaf_prune:
         Leaf MBR distance pruning (on by default): skip hit leaves the
         query provably cannot accept points from, bulk-accept leaves
@@ -125,7 +118,6 @@ class RTNNConfig:
     t_max: float = SHORT_RAY_TMAX
     leaf_size: int = 4
     aabb_shrink: float = 1.0
-    parallel_bundles: int | None = None
     leaf_prune: bool = True
     step_budget: int | None = None
     backend: str = "numpy"
@@ -437,8 +429,6 @@ class RTNNEngine:
         radius = check_radius(radius)
         k = check_positive_int(k, "k")
         cfg = self.config
-        if cfg.parallel_bundles is not None:
-            check_positive_int(cfg.parallel_bundles, "parallel_bundles")
         step_budget = budget if budget is not None else cfg.step_budget
         if step_budget is not None:
             step_budget = check_positive_int(step_budget, "step_budget")
@@ -506,7 +496,7 @@ class RTNNEngine:
         cache_hits = 0
         cache_misses = 0
 
-        def gas_for(width: float, tracer: Tracer | None = None):
+        def gas_for(width: float):
             nonlocal cache_hits, cache_misses
             key = self._gas_key(width / 2.0)
             gas = gases.get(key)
@@ -521,7 +511,7 @@ class RTNNEngine:
                     self.cost_model,
                     leaf_size=cfg.leaf_size,
                     order=self._point_order,
-                    tracer=tracer if tracer is not None else self.tracer,
+                    tracer=self.tracer,
                 )
                 self.gas_cache.insert(key, gas)
                 breakdown.bvh += gas.build_time
@@ -566,85 +556,39 @@ class RTNNEngine:
         # be missing neighbors, everyone else's are provably exact.
         exhausted_q = np.zeros(n_q, dtype=bool)
         launches = []
-
-        def absorb(launch):
-            """Fold one launch into the run totals (always bundle order)."""
-            nonlocal total_is, total_steps, hit_w, l1_acc, l2_acc
-            nonlocal occ_w, occ_acc, leaves_pruned, leaves_bulk
-            leaves_pruned += launch.trace.leaves_pruned
-            leaves_bulk += launch.trace.leaves_bulk_accepted
-            launches.append(launch)
-            breakdown.search += launch.modeled_time
-            total_is += launch.trace.total_is_calls
-            total_steps += launch.trace.total_steps
-            tx = (
-                launch.trace.node_transactions
-                + launch.trace.prim_transactions
-            )
-            if launch.l1_hit_rate is not None and tx:
-                hit_w += tx
-                l1_acc += launch.l1_hit_rate * tx
-                l2_acc += launch.l2_hit_rate * tx
-            occ = self.cost_model.occupancy(launch.trace)
-            occ_w += launch.modeled_time
-            occ_acc += occ * launch.modeled_time
-
-        workers = cfg.parallel_bundles or 0
-        if workers > 1 and len(bundles) > 1:
-            # Fan-out: resolve every GAS serially in bundle order (build
-            # spans and breakdown.bvh charges land exactly as in serial
-            # execution), then launch the bundles concurrently and merge
-            # outcomes back in bundle order.
-            jobs = []
-            for i, bundle in enumerate(bundles):
-                build_rec = RecordingTracer() if self.tracer.enabled else None
-                gas = gas_for(
-                    bundle.aabb_width,
-                    tracer=build_rec if build_rec is not None else NULL_TRACER,
-                )
+        for i, bundle in enumerate(bundles):
+            with self.tracer.span(f"bundle[{i}]", phase="traverse") as sp:
+                gas = gas_for(bundle.aabb_width)
                 launch_ids, rays, shader, is_kind = self._launch_args(
                     kind, queries, bundle, global_rank, acc, radius
                 )
-                jobs.append(
-                    BundleJob(
-                        index=i,
-                        gas=gas,
-                        rays=rays,
-                        shader=shader,
-                        is_kind=is_kind,
-                        aabb_width=float(bundle.aabb_width),
-                        prelude_spans=(
-                            build_rec.spans if build_rec is not None else []
-                        ),
-                        step_budget=step_budget,
-                    )
+                launch = self.pipeline.launch(
+                    gas, rays, shader, is_kind, step_budget=step_budget
                 )
-            for outcome in execute_bundles(self.pipeline, jobs, workers):
-                graft_spans(self.tracer, outcome.spans)
-                absorb(outcome.launch)
+                # Launch counters/cost live on the child launch span.
+                sp.add(bundle_queries=len(launch_ids))
+                sp.note(aabb_width=float(bundle.aabb_width))
+                leaves_pruned += launch.trace.leaves_pruned
+                leaves_bulk += launch.trace.leaves_bulk_accepted
+                launches.append(launch)
+                breakdown.search += launch.modeled_time
+                total_is += launch.trace.total_is_calls
+                total_steps += launch.trace.total_steps
+                tx = (
+                    launch.trace.node_transactions
+                    + launch.trace.prim_transactions
+                )
+                if launch.l1_hit_rate is not None and tx:
+                    hit_w += tx
+                    l1_acc += launch.l1_hit_rate * tx
+                    l2_acc += launch.l2_hit_rate * tx
+                occ = self.cost_model.occupancy(launch.trace)
+                occ_w += launch.modeled_time
+                occ_acc += occ * launch.modeled_time
                 if step_budget is not None:
-                    be = outcome.launch.trace.budget_exhausted
+                    be = launch.trace.budget_exhausted
                     if be is not None and be.any():
-                        qids = jobs[outcome.index].rays.query_ids
-                        exhausted_q[qids[be]] = True
-        else:
-            for i, bundle in enumerate(bundles):
-                with self.tracer.span(f"bundle[{i}]", phase="traverse") as sp:
-                    gas = gas_for(bundle.aabb_width)
-                    launch_ids, rays, shader, is_kind = self._launch_args(
-                        kind, queries, bundle, global_rank, acc, radius
-                    )
-                    launch = self.pipeline.launch(
-                        gas, rays, shader, is_kind, step_budget=step_budget
-                    )
-                    # Launch counters/cost live on the child launch span.
-                    sp.add(bundle_queries=len(launch_ids))
-                    sp.note(aabb_width=float(bundle.aabb_width))
-                    absorb(launch)
-                    if step_budget is not None:
-                        be = launch.trace.budget_exhausted
-                        if be is not None and be.any():
-                            exhausted_q[rays.query_ids[be]] = True
+                        exhausted_q[rays.query_ids[be]] = True
 
         if kind == "knn":
             idx, counts, d2 = acc.finalize()

@@ -21,7 +21,7 @@ from repro.geometry.morton import (
     morton_order,
     normalize_to_grid,
 )
-from repro.geometry.sphere import points_in_sphere, pairwise_sq_distances
+from repro.geometry.sphere import points_in_sphere
 from repro.geometry.grid import UniformGrid
 from repro.geometry.sat import SummedAreaTable3D
 
@@ -41,7 +41,6 @@ __all__ = [
     "morton_order",
     "normalize_to_grid",
     "points_in_sphere",
-    "pairwise_sq_distances",
     "UniformGrid",
     "SummedAreaTable3D",
 ]

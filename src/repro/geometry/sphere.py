@@ -1,10 +1,8 @@
-"""Sphere tests and distance kernels.
+"""Sphere tests.
 
 Step 2 of RTNN's algorithm (Section 3.1) is the *sphere test*: given
 that a query point landed inside a primitive's AABB, check whether it
-also lies inside the inscribed ``r``-sphere. These kernels implement
-that test and the batched distance computations the baselines and the
-brute-force oracle rely on.
+also lies inside the inscribed ``r``-sphere.
 """
 
 from __future__ import annotations
@@ -23,18 +21,3 @@ def points_in_sphere(
     centers = np.asarray(centers, dtype=np.float64)
     d2 = np.einsum("ij,ij->i", queries - centers, queries - centers)
     return d2 <= float(radius) * float(radius)
-
-
-def pairwise_sq_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """All-pairs squared Euclidean distances, ``(len(a), len(b))``.
-
-    Uses the expanded form ``|a|^2 - 2 a.b + |b|^2`` so the hot path is a
-    single GEMM; negatives from floating-point cancellation are clamped.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    aa = np.einsum("ij,ij->i", a, a)[:, None]
-    bb = np.einsum("ij,ij->i", b, b)[None, :]
-    d2 = aa + bb - 2.0 * (a @ b.T)
-    np.clip(d2, 0.0, None, out=d2)
-    return d2

@@ -124,7 +124,6 @@ class Scenario:
     variant: str         # key into repro.core.engine.VARIANTS
     seed: int = 7
     repeat: int = 1      # query batches served by one held engine
-    parallel: int = 0    # parallel_bundles workers (0 = serial config)
     shards: int = 0      # sharded topology workers (0 = single engine)
     backend: str = ""    # "" = numpy reference; "numba" = compiled twin (/nb)
     budget: int = 0      # per-query traversal step budget (0 = exact)
@@ -135,8 +134,6 @@ class Scenario:
         base = f"{self.family}-{self.n_points}/{self.variant}/{mode}"
         if self.repeat > 1:
             base = f"{base}/x{self.repeat}"
-        if self.parallel:
-            base = f"{base}/par{self.parallel}"
         if self.shards:
             base = f"{base}/sh{self.shards}"
         if self.backend == "numba":
@@ -147,8 +144,6 @@ class Scenario:
 
     def config(self) -> RTNNConfig:
         cfg = VARIANTS[self.variant]
-        if self.parallel:
-            cfg = replace(cfg, parallel_bundles=self.parallel)
         if self.backend:
             cfg = replace(cfg, backend=self.backend)
         if self.budget:
@@ -167,18 +162,14 @@ def repeat_scenarios() -> list[Scenario]:
 
 def smoke_suite() -> list[Scenario]:
     """The CI smoke subset: every base family baseline vs fully
-    optimized, the repeat-batch amortization scenarios, one parallel
-    fan-out twin (asserted bit-identical to its serial scenario by
-    :func:`check_parallel_consistency`), and one sharded-topology twin
-    (result-identical to its single-engine scenario, checked by
-    :func:`check_shard_consistency`)."""
+    optimized, the repeat-batch amortization scenarios, and one
+    sharded-topology twin (result-identical to its single-engine
+    scenario, checked by :func:`check_shard_consistency`)."""
     return [
         Scenario(family=f, n_points=400, n_queries=160, variant=v)
         for f in ("kitti", "uniform", "clustered")
         for v in ("noopt", "sched+part")
     ] + repeat_scenarios() + [
-        Scenario(family="clustered", n_points=400, n_queries=160,
-                 variant="sched+part", parallel=4),
         Scenario(family="uniform", n_points=400, n_queries=160,
                  variant="sched+part", shards=4),
     ] + [
@@ -218,16 +209,11 @@ def smoke_suite() -> list[Scenario]:
 
 
 def full_suite() -> list[Scenario]:
-    """Smoke scenarios plus larger three-variant sweeps per family and
-    their parallel fan-out twins."""
+    """Smoke scenarios plus larger three-variant sweeps per family."""
     return smoke_suite() + [
         Scenario(family=f, n_points=2000, n_queries=700, variant=v)
         for f in ("kitti", "uniform", "clustered")
         for v in ("noopt", "sched", "sched+part")
-    ] + [
-        Scenario(family=f, n_points=2000, n_queries=700,
-                 variant="sched+part", parallel=4)
-        for f in ("clustered", "uniform")
     ] + [
         Scenario(family=f, n_points=2000, n_queries=700,
                  variant="sched+part")
@@ -476,13 +462,6 @@ def run_scenario(scenario: Scenario) -> dict:
     return record
 
 
-def serial_twin(name: str) -> str | None:
-    """Name of the serial scenario a ``/parN`` scenario mirrors."""
-    if "/par" not in name:
-        return None
-    return name.rsplit("/par", 1)[0]
-
-
 _SHARD_SUFFIX = re.compile(r"/sh\d+$")
 
 
@@ -516,13 +495,6 @@ def run_suite(scenarios: list[Scenario], verbose: bool = True) -> dict:
     records = {}
     for sc in scenarios:
         rec = run_scenario(sc)
-        if sc.parallel:
-            rec["wall_parallel_s"] = rec["wall_s"]
-            twin = serial_twin(sc.name)
-            if twin in records:
-                rec["wall_serial_s"] = records[twin]["wall_s"]
-                if rec["wall_s"] > 0:
-                    rec["parallel_speedup"] = rec["wall_serial_s"] / rec["wall_s"]
         records[sc.name] = rec
         if verbose:
             c = rec["counters"]
@@ -549,40 +521,6 @@ def run_suite(scenarios: list[Scenario], verbose: bool = True) -> dict:
 # ----------------------------------------------------------------------
 # comparison
 # ----------------------------------------------------------------------
-def check_parallel_consistency(payload: dict) -> list[str]:
-    """Assert every ``/parN`` scenario matches its serial twin exactly.
-
-    Parallel fan-out is constructed to be deterministic (bundle-order
-    merging), so counters, results and even modeled seconds must be
-    *bit-identical* to the serial run — any drift is a real
-    synchronization bug, not noise.
-    """
-    failures: list[str] = []
-    scenarios = payload.get("scenarios", {})
-    for name, rec in sorted(scenarios.items()):
-        twin = serial_twin(name)
-        if twin is None:
-            continue
-        if twin not in scenarios:
-            failures.append(f"{name}: serial twin {twin!r} missing from suite")
-            continue
-        ref = scenarios[twin]
-        for key in ("neighbors", "checksum", "modeled_s"):
-            if rec.get(key) != ref.get(key):
-                failures.append(
-                    f"{name}: {key} diverged from serial twin "
-                    f"({ref.get(key)!r} -> {rec.get(key)!r})"
-                )
-        for key in sorted(set(rec["counters"]) | set(ref["counters"])):
-            a, b = rec["counters"].get(key), ref["counters"].get(key)
-            if a != b:
-                failures.append(
-                    f"{name}: counter {key!r} diverged from serial twin "
-                    f"({b!r} -> {a!r})"
-                )
-    return failures
-
-
 def check_shard_consistency(payload: dict) -> list[str]:
     """Assert every ``/shN`` scenario returns the single-engine answer.
 
@@ -945,18 +883,6 @@ def main(argv=None) -> int:
     payload = run_suite(suite)
 
     status = 0
-    par_failures = check_parallel_consistency(payload)
-    if par_failures:
-        print(
-            f"bench: {len(par_failures)} parallel/serial divergence(s):",
-            file=sys.stderr,
-        )
-        for failure in par_failures:
-            print(f"  FAIL {failure}", file=sys.stderr)
-        status = 1
-    else:
-        print("bench: parallel scenarios match their serial twins exactly")
-
     shard_failures = check_shard_consistency(payload)
     if shard_failures:
         print(

@@ -130,7 +130,6 @@ class Pipeline:
         is_shader,
         kind: IsKind,
         observers=(),
-        tracer: Tracer | None = None,
         step_budget: int | None = None,
     ) -> LaunchResult:
         """Trace ``rays`` through ``gas`` invoking ``is_shader`` on hits.
@@ -139,16 +138,12 @@ class Pipeline:
         (first-hit pre-pass, range with/without sphere test, or KNN).
         ``observers`` are extra access-stream tracers (``on_node_access``
         / ``on_prim_access``) run alongside the cache simulation; they
-        never affect counters, costs, or shader results. ``tracer``
-        overrides the pipeline's observability tracer for this launch —
-        the parallel executor passes a per-job recorder here so each
-        worker records spans without contending on the shared one.
+        never affect counters, costs, or shader results.
         ``step_budget`` caps node pops per ray (approximate mode); it is
         per-launch state, never pipeline state, so concurrent callers of
         a shared engine cannot race on it.
         """
-        obs_tracer = tracer if tracer is not None else self.tracer
-        with obs_tracer.span("launch") as sp:
+        with self.tracer.span("launch") as sp:
             cache = None
             if self.cache_sim and len(rays) > 0:
                 cache = SampledCacheTracer(

@@ -63,6 +63,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from repro.baselines.brute import exact_neighbors
 from repro.core.cache import fingerprint_array
 from repro.core.engine import RTNNConfig, RTNNEngine
 from repro.core.expansion import (
@@ -778,41 +779,12 @@ class ShardedEngine:
         for call in brute:
             shard = self.shards[call.shard_id]
             pts = self.points[shard.point_ids]
-            outcomes[call.shard_id] = self._exact_fallback(
-                pts, call.queries, radius, k
+            # A dead shard's rows carry the very float64 distances its
+            # engine would have produced (the oracle is shader arithmetic)
+            outcomes[call.shard_id] = exact_neighbors(
+                pts, call.queries, k, radius
             )
         return outcomes
-
-    @staticmethod
-    def _exact_fallback(
-        pts: np.ndarray, queries: np.ndarray, radius: float, k: int
-    ) -> SearchResults:
-        """Exact search over one dead shard's points (degraded path).
-
-        Deliberately *not* the brute-force oracle: the oracle's GEMM
-        expansion rounds differently (1 ulp) than the IS shader's
-        subtract-then-``einsum``, which would break the bit-identity
-        contract. This mirrors the shader arithmetic exactly — same
-        subtraction, same reduction order — so a degraded shard's
-        candidates carry the very same float64 distances the healthy
-        engine would have produced. Semantics match both request kinds:
-        the nearest ``<= k`` neighbors within ``radius``.
-        """
-        diff = queries[:, None, :] - pts[None, :, :]
-        d2 = np.einsum("qnd,qnd->qn", diff, diff)
-        r2 = float(radius) * float(radius)
-        d2 = np.where(d2 <= r2, d2, np.inf)
-        idx = np.broadcast_to(
-            np.arange(len(pts), dtype=np.int64), d2.shape
-        ).copy()
-        if d2.shape[1] < k:
-            pad = k - d2.shape[1]
-            d2 = np.pad(d2, ((0, 0), (0, pad)), constant_values=np.inf)
-            idx = np.pad(idx, ((0, 0), (0, pad)), constant_values=-1)
-        idx, counts, d2 = ShardedEngine._merge_rows(idx, d2, k)
-        return SearchResults(
-            indices=idx, counts=counts, sq_distances=d2, report=None
-        )
 
     # ------------------------------------------------------------------
     # gather

@@ -16,7 +16,7 @@ Because later chunks probe at the (monotonically growing) ``cmax``,
 most of A never expands at all.
 
 Determinism contract: the squared distance is exact and bit-identical
-to the chunked subtract-then-einsum brute oracle; ``index_a`` is the
+to the brute oracle (the shader's arithmetic); ``index_a`` is the
 **lowest** A index attaining the maximum (chunks are walked in index
 order and updates are strict); ``index_b`` is canonicalized after the
 fact as the lowest-index B witness at exactly the final distance (one

@@ -1,10 +1,10 @@
 """Brute-force oracles for the workload pipelines.
 
 Each oracle recomputes its workload from exhaustive pairwise
-distances, using the *same* float arithmetic as the engine's shaders
-(subtract, then einsum over the coordinate axis — the
-``_PairDistance`` contract, shared with ``brute_force_true_knn``) and
-the same canonical finalization rules as the pipelines. Matches are
+distances, taken block by block from
+:func:`repro.baselines.brute.distance_blocks` — the same shader
+arithmetic as the engine and the search oracles — and applies the
+same canonical finalization rules as the pipelines. Matches are
 therefore exact:
 
 * :func:`brute_dbscan` — labels equal bit-for-bit (not just up to
@@ -14,23 +14,29 @@ therefore exact:
 * :func:`brute_sph` — bit-identical trajectories (shares
   :func:`~repro.workloads.sph.interaction_forces`).
 
-All oracles chunk over queries so memory stays ``O(chunk · N)``.
+Distance blocks are bounded by an element budget; beyond one block
+the oracles keep only per-point neighbor lists.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from repro.baselines.brute import distance_blocks
 from repro.workloads.dbscan import DBSCANConfig, finalize_labels, _union
 from repro.workloads.sph import SPHConfig, interaction_forces
 
-_CHUNK = 256
 
-
-def _chunk_d2(queries: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Exact (Q, N) squared distances, shader arithmetic."""
-    diff = queries[:, None, :] - points[None, :, :]
-    return np.einsum("qnd,qnd->qn", diff, diff)
+def _within(points: np.ndarray, r2: float) -> tuple[list, list]:
+    """Per-point ascending neighbor ids within ``r2`` and their d2."""
+    nbrs: list[np.ndarray] = []
+    d2s: list[np.ndarray] = []
+    for _, d2 in distance_blocks(points, points):
+        for row in d2:
+            ids = np.flatnonzero(row <= r2)
+            nbrs.append(ids)
+            d2s.append(row[ids])
+    return nbrs, d2s
 
 
 def brute_dbscan(
@@ -44,30 +50,21 @@ def brute_dbscan(
     n = len(points)
     r2 = float(config.eps) * float(config.eps)
 
-    counts = np.zeros(n, dtype=np.int64)
-    within_rows: list[np.ndarray] = []
-    for start in range(0, n, _CHUNK):
-        d2 = _chunk_d2(points[start : start + _CHUNK], points)
-        within = d2 <= r2
-        counts[start : start + _CHUNK] = within.sum(axis=1)
-        within_rows.append(within)
+    nbr_rows, _ = _within(points, r2)
+    counts = np.array([len(nbrs) for nbrs in nbr_rows], dtype=np.int64)
     core = counts >= config.min_pts
 
     parent = np.arange(n, dtype=np.int64)
     border_anchor = np.full(n, n, dtype=np.int64)
-    for ci, within in enumerate(within_rows):
-        base = ci * _CHUNK
-        for local in range(len(within)):
-            i = base + local
-            if not core[i]:
-                continue
-            nbrs = np.flatnonzero(within[local])
-            core_nbrs = nbrs[core[nbrs]]
-            for j in core_nbrs.tolist():
-                _union(parent, i, j)
-            other = nbrs[~core[nbrs]]
-            if len(other):
-                np.minimum.at(border_anchor, other, i)
+    for i, nbrs in enumerate(nbr_rows):
+        if not core[i]:
+            continue
+        core_nbrs = nbrs[core[nbrs]]
+        for j in core_nbrs.tolist():
+            _union(parent, i, j)
+        other = nbrs[~core[nbrs]]
+        if len(other):
+            np.minimum.at(border_anchor, other, i)
     labels, n_clusters = finalize_labels(parent, core, border_anchor)
     return labels, core, counts, n_clusters
 
@@ -87,8 +84,7 @@ def brute_hausdorff(queries_a, points_b) -> tuple[float, int, int]:
     cmax2 = -1.0
     index_a = -1
     index_b = -1
-    for start in range(0, len(a), _CHUNK):
-        d2 = _chunk_d2(a[start : start + _CHUNK], b)
+    for start, d2 in distance_blocks(a, b):
         mins = d2.min(axis=1)
         best = int(np.argmax(mins))
         if mins[best] > cmax2:
@@ -118,22 +114,14 @@ def brute_sph(
     r2 = float(config.radius) * float(config.radius)
     dt = float(config.dt)
     for _ in range(config.n_steps):
-        counts = np.zeros(n, dtype=np.int64)
-        rows: list[tuple[np.ndarray, np.ndarray]] = []
-        for start in range(0, n, _CHUNK):
-            d2 = _chunk_d2(x[start : start + _CHUNK], x)
-            within = d2 <= r2
-            counts[start : start + _CHUNK] = within.sum(axis=1)
-            rows.append((within, d2))
+        nbr_rows, d2_rows = _within(x, r2)
+        counts = np.array([len(nbrs) for nbrs in nbr_rows], dtype=np.int64)
         k = max(int(counts.max()), 1)
         cidx = np.full((n, k), -1, dtype=np.int64)
         cd2 = np.full((n, k), np.inf)
-        for ci, (within, d2) in enumerate(rows):
-            base = ci * _CHUNK
-            for local in range(len(within)):
-                nbrs = np.flatnonzero(within[local])
-                cidx[base + local, : len(nbrs)] = nbrs
-                cd2[base + local, : len(nbrs)] = d2[local, nbrs]
+        for i, (nbrs, d2) in enumerate(zip(nbr_rows, d2_rows)):
+            cidx[i, : len(nbrs)] = nbrs
+            cd2[i, : len(nbrs)] = d2
         acc = interaction_forces(x, cidx, cd2, config.gravity, config.softening)
         v = v + dt * acc
         x = x + dt * v

@@ -30,16 +30,3 @@ def clustered_points(rng):
     which = rng.integers(0, 12, 1200)
     pts = centers[which] + rng.normal(0, 0.01, (1200, 3))
     return np.clip(pts, 0.0, 1.0)
-
-
-def knn_sets(res):
-    """Per-query neighbor frozensets from a SearchResults."""
-    return [
-        frozenset(row[:c].tolist())
-        for row, c in zip(res.indices, res.counts)
-    ]
-
-
-@pytest.fixture(scope="session")
-def neighbor_sets():
-    return knn_sets

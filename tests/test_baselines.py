@@ -8,9 +8,13 @@ from repro.baselines import (
     FRNN,
     FastRNN,
     PCLOctree,
+    brute,
     brute_force_knn,
     brute_force_range,
 )
+from repro.baselines.brute import brute_force_true_knn
+from repro.workloads import DBSCANConfig, brute_dbscan, brute_hausdorff
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.fixture(scope="module")
@@ -19,12 +23,6 @@ def setup():
     pts = rng.random((1200, 3))
     q = rng.random((350, 3))
     return pts, q, 0.11
-
-
-def _sets(res):
-    return [
-        set(res.indices[i][: res.counts[i]].tolist()) for i in range(res.n_queries)
-    ]
 
 
 def test_brute_range_counts(setup):
@@ -45,53 +43,76 @@ def test_brute_knn_sorted(setup):
         assert (np.diff(d[i][:c]) >= 0).all()
 
 
+def test_oracle_answers_do_not_depend_on_block_size(setup, monkeypatch):
+    """The element budget bounds memory only: one query row per block
+    yields the very same bits as the default blocks."""
+    pts, q, r = setup
+
+    def run_all():
+        return [
+            brute_force_range(pts, q, r, k=40),
+            brute_force_knn(pts, q, k=7, radius=r),
+            brute_force_true_knn(pts, q, k=7),
+            brute_dbscan(pts[:400], DBSCANConfig(eps=r, min_pts=5)),
+            brute_hausdorff(q, pts),
+        ]
+
+    default = run_all()
+    monkeypatch.setattr(brute, "_BLOCK_ELEMENTS", 1)
+    tiny = run_all()
+    for a, b in zip(default[:3], tiny[:3]):
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.counts, b.counts)
+        assert np.array_equal(a.sq_distances, b.sq_distances)
+    for a, b in zip(default[3], tiny[3]):
+        assert np.array_equal(a, b)
+    assert default[4] == tiny[4]
+
+
+def test_oracle_ties_go_to_the_lower_index():
+    """A tie across the k-th slot keeps the lowest-index tied points."""
+    pts = np.zeros((12, 3))
+    pts[:, 2] = [3, 1, 2, 1, 3, 1, 2, 1, 3, 1, 2, 1]
+    q = np.zeros((1, 3))
+    res = brute_force_true_knn(pts, q, k=8)
+    assert res.indices[0].tolist() == [1, 3, 5, 7, 9, 11, 2, 6]
+    assert res.sq_distances[0].tolist() == [1.0] * 6 + [4.0] * 2
+    res = brute_force_knn(pts, q, k=4, radius=1.5)
+    assert res.indices[0].tolist() == [1, 3, 5, 7]
+    res = brute_force_range(pts, q, radius=2.5, k=16)
+    assert res.counts[0] == 9
+    assert res.indices[0].tolist() == [1, 3, 5, 7, 9, 11, 2, 6, 10] + [-1] * 7
+
+
 def test_cunsearch_exact(setup):
     pts, q, r = setup
     got = CuNSearch(pts).range_search(q, r, k=2000)
-    ref = brute_force_range(pts, q, r, k=2000)
-    assert _sets(got) == _sets(ref)
+    assert_matches_oracle(got, pts, q, 2000, r, first_k=True)
     assert got.report.modeled_time > 0
 
 
 def test_cunsearch_bounded_k(setup):
     pts, q, r = setup
     got = CuNSearch(pts).range_search(q, r, k=3)
-    ref = brute_force_range(pts, q, r, k=2000)
-    for i in range(len(q)):
-        assert got.counts[i] == min(ref.counts[i], 3)
-        d2 = ((pts[got.indices[i][: got.counts[i]]] - q[i]) ** 2).sum(axis=1)
-        assert (d2 <= r * r * (1 + 1e-12)).all()
+    assert_matches_oracle(got, pts, q, 3, r, first_k=True)
 
 
 def test_frnn_exact(setup):
     pts, q, r = setup
     got = FRNN(pts).knn_search(q, k=7, radius=r)
-    ref = brute_force_knn(pts, q, k=7, radius=r)
-    for i in range(len(q)):
-        assert got.counts[i] == ref.counts[i]
-        np.testing.assert_allclose(
-            got.sq_distances[i][: got.counts[i]],
-            ref.sq_distances[i][: ref.counts[i]],
-            rtol=1e-9,
-        )
+    assert_matches_oracle(got, pts, q, 7, r)
 
 
 def test_pcl_octree_range_exact(setup):
     pts, q, r = setup
     got = PCLOctree(pts).range_search(q, r, k=2000)
-    ref = brute_force_range(pts, q, r, k=2000)
-    assert _sets(got) == _sets(ref)
+    assert_matches_oracle(got, pts, q, 2000, r, first_k=True)
 
 
 def test_pcl_octree_nn_exact(setup):
     pts, q, r = setup
     got = PCLOctree(pts).knn_search(q, k=1, radius=r)
-    ref = brute_force_knn(pts, q, k=1, radius=r)
-    assert (got.counts == ref.counts).all()
-    both = (got.counts == 1) & (ref.counts == 1)
-    np.testing.assert_allclose(
-        got.sq_distances[both, 0], ref.sq_distances[both, 0], rtol=1e-9
-    )
+    assert_matches_oracle(got, pts, q, 1, r)
 
 
 def test_pcl_octree_rejects_k_gt_1(setup):
@@ -103,14 +124,7 @@ def test_pcl_octree_rejects_k_gt_1(setup):
 def test_fastrnn_exact(setup):
     pts, q, r = setup
     got = FastRNN(pts).knn_search(q, k=5, radius=r)
-    ref = brute_force_knn(pts, q, k=5, radius=r)
-    for i in range(len(q)):
-        assert got.counts[i] == ref.counts[i]
-        np.testing.assert_allclose(
-            np.sort(got.sq_distances[i][: got.counts[i]]),
-            ref.sq_distances[i][: ref.counts[i]],
-            rtol=1e-9,
-        )
+    assert_matches_oracle(got, pts, q, 5, r)
 
 
 def test_memory_models_positive(setup):
@@ -134,7 +148,8 @@ def test_grid_chunking_matches_unchunked(setup):
     pts, q, r = setup
     a = CuNSearch(pts, chunk_size=64).range_search(q, r, k=2000)
     b = CuNSearch(pts).range_search(q, r, k=2000)
-    assert _sets(a) == _sets(b)
+    assert_matches_oracle(a, pts, q, 2000, r, first_k=True)
+    assert_matches_oracle(b, pts, q, 2000, r, first_k=True)
     assert a.report.extras["candidates"] == b.report.extras["candidates"]
     fa = FRNN(pts, chunk_size=64).knn_search(q, k=6, radius=r)
     fb = FRNN(pts).knn_search(q, k=6, radius=r)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.baselines import brute_force_knn, brute_force_range
 from repro.baselines.cpu import CompactNSearch, CpuSpec, FlannKdTree, build_kdtree
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.fixture(scope="module")
@@ -37,18 +37,13 @@ def test_kdtree_structure(setup):
 def test_kdtree_knn_exact(setup):
     pts, q, r = setup
     res = FlannKdTree(pts).knn_search(q, k=5, radius=r)
-    ref = brute_force_knn(pts, q, k=5, radius=r)
-    assert (res.counts == ref.counts).all()
-    a = np.where(np.isinf(res.sq_distances), -1, res.sq_distances)
-    b = np.where(np.isinf(ref.sq_distances), -1, ref.sq_distances)
-    np.testing.assert_allclose(a, b, rtol=1e-9, atol=1e-12)
+    assert_matches_oracle(res, pts, q, 5, r)
 
 
 def test_kdtree_range_exact(setup):
     pts, q, r = setup
     res = FlannKdTree(pts).range_search(q, radius=r, k=4000)
-    ref = brute_force_range(pts, q, radius=r, k=4000)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, pts, q, 4000, r, first_k=True)
 
 
 def test_kdtree_prunes(setup):
@@ -64,8 +59,7 @@ def test_kdtree_prunes(setup):
 def test_compactnsearch_exact(setup):
     pts, q, r = setup
     res = CompactNSearch(pts).range_search(q, radius=r, k=4000)
-    ref = brute_force_range(pts, q, radius=r, k=4000)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, pts, q, 4000, r, first_k=True)
 
 
 def test_cpu_spec_scaling(setup):
@@ -93,5 +87,4 @@ def test_property_kdtree_matches_brute(n, k, r, seed):
     pts = rng.random((n, 3))
     q = rng.random((8, 3))
     res = FlannKdTree(pts, leaf_size=4).knn_search(q, k=k, radius=r)
-    ref = brute_force_knn(pts, q, k=k, radius=r)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, pts, q, k, r)

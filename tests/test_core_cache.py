@@ -16,6 +16,7 @@ from repro.core.cache import (
     quantize_half_width,
 )
 from repro.core.engine import RTNNEngine, VARIANTS
+from tests.oracle import assert_matches_oracle
 
 
 def _key(i: int) -> GASKey:
@@ -189,8 +190,6 @@ def test_warm_search_bit_identical_to_cold_engine(small_cloud, kind, variant):
 
 
 def test_update_points_same_shape_refits_cache(small_cloud):
-    from repro.baselines import brute_force_knn
-
     points, queries = small_cloud
     engine = RTNNEngine(points)
     engine.knn_search(queries, k=4, radius=0.1)
@@ -204,8 +203,7 @@ def test_update_points_same_shape_refits_cache(small_cloud):
     assert res.report.breakdown.bvh == pytest.approx(refit_time)
     assert res.report.n_bvh_builds == 0
     # refit bounds are exact: results still match the oracle
-    ref = brute_force_knn(moved, queries, k=4, radius=0.1)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, moved, queries, 4, 0.1)
 
 
 def test_update_points_new_shape_invalidates(small_cloud):

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.baselines import brute_force_knn
 from repro.core.dynamic import DynamicRTNN
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.fixture()
@@ -22,13 +22,7 @@ def test_search_exact_after_refits(stream, rng):
         rep = dyn.update(pts)
         assert not rep.rebuilt  # drift too small to degrade quality
         res = dyn.knn_search(pts[:50], k=k)
-        ref = brute_force_knn(pts, pts[:50], k=k, radius=r)
-        assert (res.counts == ref.counts).all()
-        np.testing.assert_allclose(
-            np.where(np.isinf(res.sq_distances), -1, res.sq_distances),
-            np.where(np.isinf(ref.sq_distances), -1, ref.sq_distances),
-            rtol=1e-9, atol=1e-12,
-        )
+        assert_matches_oracle(res, pts, pts[:50], k, r)
 
 
 def test_rebuild_on_schedule(stream, rng):

@@ -4,35 +4,10 @@ across all optimization variants and both search types."""
 import numpy as np
 import pytest
 
-from repro.baselines import brute_force_knn, brute_force_range
+from repro.baselines import brute_force_knn
 from repro.core.engine import RTNNConfig, RTNNEngine, VARIANTS
 from repro.gpu.device import RTX_2080TI
-
-
-def _assert_knn_equal(res, ref):
-    for i in range(res.n_queries):
-        got = set(res.indices[i][: res.counts[i]].tolist())
-        want = set(ref.indices[i][: ref.counts[i]].tolist())
-        if got != want:
-            # ties at the k-th distance make sets legitimately differ;
-            # require equal counts and equal distance multisets instead
-            assert res.counts[i] == ref.counts[i]
-            np.testing.assert_allclose(
-                np.sort(res.sq_distances[i][: res.counts[i]]),
-                np.sort(ref.sq_distances[i][: ref.counts[i]]),
-                rtol=1e-9,
-            )
-
-
-def _assert_range_valid(res, ref, points, queries, radius, k):
-    r2 = radius * radius * (1 + 1e-12)
-    for i in range(res.n_queries):
-        got = res.indices[i][: res.counts[i]]
-        # all returned neighbors are true neighbors
-        d2 = ((points[got] - queries[i]) ** 2).sum(axis=1)
-        assert (d2 <= r2).all()
-        # counts are correct: min(true_count, k)
-        assert res.counts[i] == min(ref.counts[i], k)
+from tests.oracle import assert_matches_oracle
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -41,8 +16,7 @@ def test_knn_matches_oracle_all_variants(cube_points, cube_queries, variant):
     cfg = VARIANTS[variant]
     engine = RTNNEngine(cube_points, config=cfg)
     res = engine.knn_search(cube_queries, k=k, radius=r)
-    ref = brute_force_knn(cube_points, cube_queries, k=k, radius=r)
-    _assert_knn_equal(res, ref)
+    assert_matches_oracle(res, cube_points, cube_queries, k, r)
 
 
 @pytest.mark.parametrize("variant", list(VARIANTS))
@@ -50,11 +24,7 @@ def test_range_matches_oracle_all_variants(cube_points, cube_queries, variant):
     k, r = 2000, 0.12
     engine = RTNNEngine(cube_points, config=VARIANTS[variant])
     res = engine.range_search(cube_queries, radius=r, k=k)
-    ref = brute_force_range(cube_points, cube_queries, radius=r, k=k)
-    for i in range(res.n_queries):
-        got = set(res.indices[i][: res.counts[i]].tolist())
-        want = set(ref.indices[i][: ref.counts[i]].tolist())
-        assert got == want
+    assert_matches_oracle(res, cube_points, cube_queries, k, r, first_k=True)
 
 
 def test_knn_equiv_volume_heuristic_recall(cube_points, cube_queries):
@@ -81,8 +51,7 @@ def test_clustered_points(clustered_points):
     k, r = 5, 0.08
     engine = RTNNEngine(clustered_points)
     res = engine.knn_search(q, k=k, radius=r)
-    ref = brute_force_knn(clustered_points, q, k=k, radius=r)
-    _assert_knn_equal(res, ref)
+    assert_matches_oracle(res, clustered_points, q, k, r)
 
 
 def test_bounded_range_subset(cube_points, cube_queries):
@@ -90,8 +59,7 @@ def test_bounded_range_subset(cube_points, cube_queries):
     r, k = 0.15, 3
     engine = RTNNEngine(cube_points)
     res = engine.range_search(cube_queries, radius=r, k=k)
-    ref = brute_force_range(cube_points, cube_queries, radius=r, k=10**6 // 100)
-    _assert_range_valid(res, ref, cube_points, cube_queries, r, k)
+    assert_matches_oracle(res, cube_points, cube_queries, k, r, first_k=True)
 
 
 def test_queries_outside_cloud(cube_points):
@@ -199,18 +167,11 @@ def test_negative_and_offset_coordinates(rng):
     pts = rng.random((800, 3)) * 4.0 - 100.0  # [-100, -96)^3
     q = pts[:100] + rng.normal(0, 0.02, (100, 3))
     res = RTNNEngine(pts).knn_search(q, k=4, radius=0.3)
-    ref = brute_force_knn(pts, q, k=4, radius=0.3)
-    assert (res.counts == ref.counts).all()
-    np.testing.assert_allclose(
-        np.where(np.isinf(res.sq_distances), -1, res.sq_distances),
-        np.where(np.isinf(ref.sq_distances), -1, ref.sq_distances),
-        rtol=1e-9, atol=1e-9,
-    )
+    assert_matches_oracle(res, pts, q, 4, 0.3)
 
 
 def test_anisotropic_scene(rng):
     """Thin-slab scenes (like LiDAR) exercise anisotropic grids."""
     pts = rng.random((800, 3)) * np.array([50.0, 50.0, 0.5])
     res = RTNNEngine(pts).range_search(pts[:100], radius=2.0, k=500)
-    ref = brute_force_range(pts, pts[:100], radius=2.0, k=500)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, pts, pts[:100], 500, 2.0, first_k=True)

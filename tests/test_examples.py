@@ -43,3 +43,7 @@ def test_lidar_clustering_runs():
 def test_galaxy_correlation_runs():
     out = _run("galaxy_correlation.py")
     assert "hierarchically clustered" in out
+    # count_in_radius pair sums equal the k=4096 range-count sums the
+    # example computed before it switched to aggregate counting
+    assert "DD totals: [102828, 378534, 1528702, 6203578, 22667908]" in out
+    assert "DR totals: [704, 6253, 52256, 428118, 3487954]" in out

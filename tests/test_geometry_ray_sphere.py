@@ -9,7 +9,7 @@ from repro.geometry.ray import (
     SHORT_RAY_TMAX,
     short_rays_from_queries,
 )
-from repro.geometry.sphere import pairwise_sq_distances, points_in_sphere
+from repro.geometry.sphere import points_in_sphere
 
 
 def test_short_rays_defaults():
@@ -47,19 +47,3 @@ def test_points_in_sphere_boundary():
     c = np.array([[0.0, 0.0, 0.0]])
     assert points_in_sphere(q, c, 1.0).all()           # boundary inside
     assert not points_in_sphere(q, c, 0.999).any()
-
-
-def test_pairwise_sq_distances_matches_loop():
-    rng = np.random.default_rng(2)
-    a = rng.random((7, 3))
-    b = rng.random((9, 3))
-    d2 = pairwise_sq_distances(a, b)
-    for i in range(7):
-        for j in range(9):
-            assert np.isclose(d2[i, j], ((a[i] - b[j]) ** 2).sum())
-
-
-def test_pairwise_sq_distances_nonnegative():
-    a = np.full((5, 3), 1e8)
-    d2 = pairwise_sq_distances(a, a)
-    assert (d2 >= 0).all()

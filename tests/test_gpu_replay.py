@@ -141,6 +141,9 @@ def test_bench_scenarios_counters_match_online(monkeypatch):
 
     baseline_path = find_baseline(Path(__file__).resolve().parents[1])
     committed = set(json.loads(baseline_path.read_text())["scenarios"])
+    # the baseline still records the /par4 twins of the retired thread
+    # fan-out; every other committed scenario must still be in the suite
+    committed = {name for name in committed if not name.endswith("/par4")}
     scenarios = [sc for sc in full_suite() if sc.name in committed]
     assert len(scenarios) == len(committed), "committed scenario vanished from suite"
 

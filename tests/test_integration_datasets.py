@@ -5,12 +5,12 @@ distributions (ground-plane, surface, fractal) stress different code
 paths (capping, partition diversity, bundling).
 """
 
-import numpy as np
 import pytest
 
-from repro.baselines import CuNSearch, FRNN, PCLOctree, brute_force_knn, brute_force_range
+from repro.baselines import CuNSearch, FRNN, PCLOctree, brute_force_knn
 from repro.core.engine import RTNNConfig, RTNNEngine
 from repro.datasets import load
+from tests.oracle import assert_matches_oracle
 
 CASES = [("KITTI-12M", 0.03), ("Buddha-4.6M", 0.03), ("NBody-9M", 0.03)]
 
@@ -27,23 +27,13 @@ def test_rtnn_knn_on_dataset(dataset):
     pts, q, r = dataset
     k = 8
     res = RTNNEngine(pts).knn_search(q, k=k, radius=r)
-    ref = brute_force_knn(pts, q, k=k, radius=r)
-    assert (res.counts == ref.counts).all()
-    # atol covers the oracle's expanded-form |a|^2 - 2ab + |b|^2
-    # cancellation noise at large coordinate scales (NBody box = 500)
-    np.testing.assert_allclose(
-        np.sort(res.sq_distances, axis=1),
-        np.sort(ref.sq_distances, axis=1),
-        rtol=1e-7,
-        atol=1e-6,
-    )
+    assert_matches_oracle(res, pts, q, k, r)
 
 
 def test_rtnn_range_counts_on_dataset(dataset):
     pts, q, r = dataset
     res = RTNNEngine(pts).range_search(q, radius=r, k=10_000)
-    ref = brute_force_range(pts, q, radius=r, k=10_000)
-    assert (res.counts == ref.counts).all()
+    assert_matches_oracle(res, pts, q, 10_000, r, first_k=True)
 
 
 def test_equiv_volume_heuristic_on_dataset(dataset):
@@ -67,11 +57,7 @@ def test_equiv_volume_heuristic_on_dataset(dataset):
 
 def test_baselines_agree_on_dataset(dataset):
     pts, q, r = dataset
-    ref_r = brute_force_range(pts, q, radius=r, k=10_000)
-    cu = CuNSearch(pts).range_search(q, r, k=10_000)
-    pcl = PCLOctree(pts).range_search(q, r, k=10_000)
-    assert (cu.counts == ref_r.counts).all()
-    assert (pcl.counts == ref_r.counts).all()
-    ref_k = brute_force_knn(pts, q, k=4, radius=r)
-    fr = FRNN(pts).knn_search(q, 4, r)
-    assert (fr.counts == ref_k.counts).all()
+    for searcher in (CuNSearch(pts), PCLOctree(pts)):
+        res = searcher.range_search(q, r, k=10_000)
+        assert_matches_oracle(res, pts, q, 10_000, r, first_k=True)
+    assert_matches_oracle(FRNN(pts).knn_search(q, 4, r), pts, q, 4, r)

@@ -9,8 +9,8 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
-from repro.baselines import brute_force_knn, brute_force_range
 from repro.core.engine import RTNNConfig, RTNNEngine
+from tests.oracle import assert_matches_oracle
 
 coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 clouds = hnp.arrays(np.float64, st.tuples(st.integers(2, 60), st.just(3)), elements=coords)
@@ -22,15 +22,7 @@ def test_property_knn_exact(pts, r, k, seed):
     q = np.random.default_rng(seed).random((10, 3))
     engine = RTNNEngine(pts, config=RTNNConfig(cache_sim=False))
     res = engine.knn_search(q, k=k, radius=r)
-    ref = brute_force_knn(pts, q, k=k, radius=r)
-    assert (res.counts == ref.counts).all()
-    for i in range(len(q)):
-        np.testing.assert_allclose(
-            res.sq_distances[i][: res.counts[i]],
-            ref.sq_distances[i][: ref.counts[i]],
-            rtol=1e-9,
-            atol=1e-12,
-        )
+    assert_matches_oracle(res, pts, q, k, r)
 
 
 @settings(max_examples=25, deadline=None)
@@ -39,11 +31,7 @@ def test_property_range_exact(pts, r, seed):
     q = np.random.default_rng(seed).random((10, 3))
     engine = RTNNEngine(pts, config=RTNNConfig(cache_sim=False))
     res = engine.range_search(q, radius=r, k=100)
-    ref = brute_force_range(pts, q, radius=r, k=100)
-    for i in range(len(q)):
-        got = set(res.indices[i][: res.counts[i]].tolist())
-        want = set(ref.indices[i][: ref.counts[i]].tolist())
-        assert got == want
+    assert_matches_oracle(res, pts, q, 100, r, first_k=True)
 
 
 @settings(max_examples=15, deadline=None)
@@ -65,7 +53,5 @@ def test_property_variants_agree(pts, r, k, schedule, partition):
             cache_sim=False,
         ),
     )
-    a = base.knn_search(q, k=k, radius=r)
-    b = other.knn_search(q, k=k, radius=r)
-    assert (a.counts == b.counts).all()
-    np.testing.assert_allclose(a.sq_distances, b.sq_distances, rtol=1e-9, atol=1e-12)
+    for engine in (base, other):
+        assert_matches_oracle(engine.knn_search(q, k=k, radius=r), pts, q, k, r)

@@ -243,6 +243,45 @@ def test_retry_exhaustion_degrades_to_exact_brute_fallback(world):
         assert np.array_equal(r.sq_distances, ref.sq_distances)
 
 
+def test_degraded_answers_bit_identical_to_healthy_engine(world):
+    """The fallback computes the shader's distances, not a look-alike:
+    knn and true_knn rows equal the engine's raw rows, untruncated
+    range rows its canonical rows."""
+    points, queries = world
+    k_knn, k_range = 12, 500
+
+    async def scenario():
+        faults = FaultInjector(error_rate=1.0, seed=3)
+        service = _service(
+            points, faults=faults, max_attempts=1, degrade_after=1,
+            degrade_cooldown_s=60.0,
+        )
+        async with service:
+            out = []
+            for q in queries:
+                out.append((
+                    await service.submit("knn", q, k=k_knn, radius=RADIUS),
+                    await service.submit("true_knn", q, k=k_knn),
+                    await service.submit("range", q, k=k_range, radius=RADIUS),
+                ))
+        return out
+
+    engine = RTNNEngine(points)
+    for q, (knn, tknn, rng_res) in zip(queries, asyncio.run(scenario())):
+        assert knn.degraded and tknn.degraded and rng_res.degraded
+        pairs = [
+            (knn, engine.knn_search(q, k=k_knn, radius=RADIUS)),
+            (tknn, engine.true_knn_search(q, k=k_knn)),
+        ]
+        direct = engine.range_search(q, radius=RADIUS, k=k_range)
+        assert (direct.counts < k_range).all()         # untruncated rows
+        pairs.append((rng_res, direct.canonical()))
+        for got, want in pairs:
+            assert np.array_equal(got.indices, want.indices)
+            assert np.array_equal(got.counts, want.counts)
+            assert np.array_equal(got.sq_distances, want.sq_distances)
+
+
 def test_fault_pattern_deterministic_under_fixed_seed(world):
     points, queries = world
 

@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 import hypothesis.extra.numpy as hnp
 
 from repro.api import SearchSession
+from repro.baselines import brute_force_range
 from repro.core.engine import VARIANTS
 from repro.core.queues import CountAccumulator
 from repro.obs.tracer import RecordingTracer
@@ -38,6 +39,7 @@ from repro.workloads import (
     run_sph,
 )
 from repro.workloads.check import clustered_cloud, workloads_smoke
+from tests.oracle import assert_matches_oracle
 
 coords = st.floats(0.0, 1.0, allow_nan=False, allow_infinity=False)
 clouds = hnp.arrays(
@@ -71,9 +73,7 @@ def test_count_accumulator_protocol():
 def test_count_in_radius_exact_across_variants(variant):
     pts = clustered_cloud(200, 3)
     r = 0.06
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("qnd,qnd->qn", diff, diff)
-    exact = (d2 <= r * r).sum(axis=1)
+    exact = brute_force_range(pts, pts, r, k=len(pts)).counts
     session = SearchSession(pts, config=VARIANTS[variant])
     res = session.count_in_radius(pts, r)
     assert np.array_equal(res.counts, exact)
@@ -101,12 +101,7 @@ def test_partitioned_range_returns_every_neighbor_at_exact_k():
     session = SearchSession(pts, config=VARIANTS["sched+part"])
     counts = session.count_in_radius(pts, r).counts
     res = session.range_search(pts, radius=r, k=int(counts.max()))
-    assert np.array_equal(res.counts, counts)
-    diff = pts[:, None, :] - pts[None, :, :]
-    d2 = np.einsum("qnd,qnd->qn", diff, diff)
-    for i in range(len(pts)):
-        got = set(res.indices[i][res.indices[i] >= 0].tolist())
-        assert got == set(np.flatnonzero(d2[i] <= r * r).tolist())
+    assert_matches_oracle(res, pts, pts, int(counts.max()), r)
 
 
 # ----------------------------------------------------------------------
