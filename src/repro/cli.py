@@ -288,7 +288,8 @@ def _add_serve(sub):
                    help="expansion-round bound the --true-knn-smoke gate "
                         "enforces (default 12)")
     p.add_argument("--check", action="store_true",
-                   help="smoke assertions: zero errors, occupancy > 1, and a "
+                   help="smoke assertions: zero errors, occupancy > 1, one "
+                        "launch per bundle shape in every fused batch, and a "
                         "bit-identical spot-check vs direct engine calls")
     p.add_argument("--json", dest="json_out", metavar="PATH",
                    help="also write the service RunReport as JSON ('-' for stdout)")
@@ -455,7 +456,9 @@ def _cmd_serve(args) -> int:
     bat = roll["batches"]
     occ_mean = bat["occupancy_mean"] or 0.0
     print(f"batches: {bat['count']} (fallback {bat['fallback']}), occupancy "
-          f"mean {occ_mean:.2f} max {bat['occupancy_max'] or 0}")
+          f"mean {occ_mean:.2f} max {bat['occupancy_max'] or 0}; "
+          f"{bat['fused_launches']} launches over {bat['fused']} fused, "
+          f"{bat['excess_launches']} beyond one per bundle shape")
     lat = roll["latency_s"]
     if lat["p50"] is not None:
         print(f"latency: p50 {lat['p50'] * 1e3:.1f} ms, "
@@ -501,12 +504,16 @@ def _cmd_serve(args) -> int:
                             f"({outcome.errors[:3]})")
         if (bat["occupancy_max"] or 0) <= 1:
             failures.append("no coalescing observed (batch occupancy never > 1)")
+        if bat["excess_launches"]:
+            failures.append(f"{bat['excess_launches']} fused-batch launches "
+                            "beyond one per bundle shape")
         if failures:
             for f in failures:
                 print(f"serve check FAILED: {f}", file=sys.stderr)
             return 1
         print(f"serve check ok: zero errors, occupancy max "
-              f"{bat['occupancy_max']}, {checked} requests spot-checked "
+              f"{bat['occupancy_max']}, one launch per bundle shape in "
+              f"{bat['fused']} fused batches, {checked} requests spot-checked "
               f"bit-identical vs direct engine calls")
     return 0
 

@@ -278,16 +278,22 @@ class RTNNEngine:
 
         Coalesces compatible requests (same point set, mode, ``k`` and
         ``radius``) into a single run: the data transfer is charged
-        once for the point set, scheduling runs one first-hit pass over
-        the union, and every GAS is resolved through the shared
-        run-local memo and persistent cache. Partitioning and bundling,
-        however, are computed **per group**: each group's queries land
-        in exactly the partitions and bundles a solo call would give
-        them, so each returned :class:`SearchResults` is bit-identical
-        (indices, counts, squared distances) to calling
+        once for the point set, one grid and megacell pass covers the
+        union, scheduling runs one first-hit pass over the union, and
+        every GAS is resolved through the shared run-local memo and
+        persistent cache. Each group's slice of the megacell result is
+        partitioned and bundled exactly as a solo call would do it;
+        then every bundle of one launch shape (GAS key and sphere test)
+        across the groups joins one launch. A ray's candidates and its
+        stopping point depend only on its own query, the GAS and the
+        shader flags, so each returned :class:`SearchResults` is
+        bit-identical (indices, counts, squared distances) to calling
         :meth:`knn_search` / :meth:`range_search` with that group
-        alone. The groups share one fused :class:`RunReport` (attached
-        to every result).
+        alone, step-budget-truncated rows included. The groups share
+        one fused :class:`RunReport` (attached to every result); its
+        ``extras["fused"]`` records the per-group bundle count
+        (``group_bundles``), the distinct launch ``shapes`` and the
+        ``launches`` actually run.
 
         ``kind="true_knn"`` runs the adaptive-radius loop over the
         fused groups: every round re-launches only the still
@@ -314,31 +320,64 @@ class RTNNEngine:
     # ------------------------------------------------------------------
     # pipeline
     # ------------------------------------------------------------------
-    def _make_bundles(self, kind, queries, radius, k, breakdown):
+    def _make_bundles(self, kind, queries, offsets, radius, k, breakdown):
+        """Every non-empty group's solo bundles, in fused query ids.
+
+        ``offsets`` delimits the groups inside ``queries``. One
+        megacell pass covers the union: a query's level, capped flag
+        and count depend only on the point set and that query, so each
+        group's slice of the result partitions and bundles exactly as
+        a solo call would. Returns the bundles (group-major) and the
+        total partition count.
+        """
         cfg = self.config
-        n_q = len(queries)
+        spans = [
+            (int(lo), int(hi))
+            for lo, hi in zip(offsets[:-1], offsets[1:])
+            if hi > lo
+        ]
         # Megacell partitioning exploits the k cap (growth retires a
         # query once >= k points are guaranteed); counting has no cap,
         # so its only exact AABB is the full 2r with the sphere test —
         # every count query takes the single capped-style bundle.
-        if cfg.partition and kind != "count":
-            with self.tracer.span("partition", phase="partition") as sp:
-                mc = compute_megacells(
-                    self.points,
-                    queries,
-                    radius,
-                    k,
-                    cell_size=default_cell_size(radius, cfg.cell_div),
-                    max_grid_cells=cfg.max_grid_cells,
+        if not (cfg.partition and kind != "count"):
+            singles = [
+                Bundle(
+                    query_ids=np.arange(lo, hi, dtype=np.int64),
+                    aabb_width=2.0 * radius,
+                    sphere_test=True,
+                    capped=True,
+                    members=[],
                 )
-                grid_time = self.cost_model.grid_build_time(len(self.points))
-                megacell_time = self.cost_model.megacell_time(
-                    mc.total_growth_steps
+                for lo, hi in spans
+            ]
+            return singles, len(singles)
+        bundles: list[Bundle] = []
+        n_partitions = 0
+        with self.tracer.span("partition", phase="partition") as sp:
+            mc = compute_megacells(
+                self.points,
+                queries,
+                radius,
+                k,
+                cell_size=default_cell_size(radius, cfg.cell_div),
+                max_grid_cells=cfg.max_grid_cells,
+            )
+            grid_time = self.cost_model.grid_build_time(len(self.points))
+            megacell_time = self.cost_model.megacell_time(
+                mc.total_growth_steps
+            )
+            breakdown.opt += grid_time
+            breakdown.opt += megacell_time
+            for lo, hi in spans:
+                group_mc = replace(
+                    mc,
+                    level=mc.level[lo:hi],
+                    capped=mc.capped[lo:hi],
+                    count=mc.count[lo:hi],
                 )
-                breakdown.opt += grid_time
-                breakdown.opt += megacell_time
                 partitions = make_partitions(
-                    mc, kind, radius, k, knn_aabb=cfg.knn_aabb,
+                    group_mc, kind, radius, k, knn_aabb=cfg.knn_aabb,
                     shrink=cfg.aabb_shrink,
                 )
                 decision = bundle_partitions(
@@ -349,21 +388,45 @@ class RTNNEngine:
                     cost_model=self.cost_model,
                     enable=cfg.bundle,
                 )
-                sp.add(
-                    modeled_s=grid_time + megacell_time,
-                    growth_steps=int(mc.total_growth_steps),
-                    partitions=decision.n_partitions,
-                    bundles=len(decision.bundles),
+                n_partitions += decision.n_partitions
+                bundles.extend(
+                    replace(b, query_ids=b.query_ids + lo)
+                    for b in decision.bundles
                 )
-            return decision.bundles, decision.n_partitions, mc
-        single = Bundle(
-            query_ids=np.arange(n_q, dtype=np.int64),
-            aabb_width=2.0 * radius,
-            sphere_test=True,
-            capped=True,
-            members=[],
-        )
-        return [single], 1, None
+            sp.add(
+                modeled_s=grid_time + megacell_time,
+                growth_steps=int(mc.total_growth_steps),
+                partitions=n_partitions,
+                bundles=len(bundles),
+            )
+        return bundles, n_partitions
+
+    def _launch_shape(self, bundle: Bundle):
+        """What one launch fixes: the GAS it traverses, the sphere test."""
+        return self._gas_key(bundle.aabb_width / 2.0), bundle.sphere_test
+
+    def _merge_shapes(self, bundles: list[Bundle]) -> list[Bundle]:
+        """Fold bundles of one launch shape into one bundle, first-seen order.
+
+        Each ray's candidate stream and stopping point depend only on
+        its own query, the GAS and the shader flags, so launching two
+        groups' bundles together changes no row. The merged bundle
+        keeps its first member's width, the width that key's GAS is
+        built from when the bundles launch unmerged.
+        """
+        by_shape: dict = {}
+        for b in bundles:
+            by_shape.setdefault(self._launch_shape(b), []).append(b)
+        return [
+            same[0] if len(same) == 1 else Bundle(
+                query_ids=np.concatenate([b.query_ids for b in same]),
+                aabb_width=same[0].aabb_width,
+                sphere_test=same[0].sphere_test,
+                capped=any(b.capped for b in same),
+                members=[p for b in same for p in b.members],
+            )
+            for same in by_shape.values()
+        ]
 
     def _launch_args(self, kind, queries, bundle, global_rank, acc, radius):
         """Resolve one bundle into (launch_ids, rays, shader, is_kind)."""
@@ -420,10 +483,11 @@ class RTNNEngine:
 
         With a single group this is exactly the classic ``_run`` —
         same spans, same counter and breakdown accounting (the bench
-        baselines pin that). With several groups, partition/bundle
-        decisions are made per group (see :meth:`search_fused`) while
-        everything else — transfer, scheduling, GAS resolution, the
-        launch loop, the report — runs once over the union.
+        baselines pin that). With several groups, one megacell pass
+        covers the union, partition/bundle decisions are made per group
+        (see :meth:`search_fused`), and the groups' bundles launch once
+        per shape; transfer, scheduling, GAS resolution and the report
+        run once over the union.
         """
         groups = [as_points(g, "queries") for g in groups]
         radius = check_radius(radius)
@@ -460,34 +524,18 @@ class RTNNEngine:
         else:
             acc = RangeAccumulator(n_q, k)
 
-        bundles: list[Bundle] = []
+        group_bundles: list[Bundle] = []
         n_partitions = 0
-        if len(groups) == 1:
-            if n_q:
-                bundles, n_partitions, _ = self._make_bundles(
-                    kind, queries, radius, k, breakdown
-                )
-        else:
-            # Per-group partitioning/bundling: each group gets exactly
-            # the decision a solo run would, with query ids shifted
-            # into the fused index space.
-            for group, off in zip(groups, offsets):
-                if not len(group):
-                    continue
-                group_bundles, group_parts, _ = self._make_bundles(
-                    kind, group, radius, k, breakdown
-                )
-                n_partitions += group_parts
-                for b in group_bundles:
-                    bundles.append(
-                        Bundle(
-                            query_ids=b.query_ids + int(off),
-                            aabb_width=b.aabb_width,
-                            sphere_test=b.sphere_test,
-                            capped=b.capped,
-                            members=b.members,
-                        )
-                    )
+        if n_q:
+            group_bundles, n_partitions = self._make_bundles(
+                kind, queries, offsets, radius, k, breakdown
+            )
+        # A fused run launches once per shape over every group's
+        # bundles; a solo run launches its bundles as they are.
+        bundles = (
+            group_bundles if len(groups) == 1
+            else self._merge_shapes(group_bundles)
+        )
 
         # One GAS per distinct (quantized) AABB width across bundles.
         # The run-local memo keeps within-run reuse free of cache
@@ -530,10 +578,13 @@ class RTNNEngine:
             # which arrives soonest when leaves are fat, and any
             # enclosing AABB works as a spatial hint (Section 4's
             # "loose definition of proximity").
-            widest = max(bundles, key=lambda b: b.aabb_width)
+            # Taken over the per-group bundles: a merged bundle keeps
+            # its first member's width, which within one GAS key can
+            # sit an ulp below the widest.
+            widest = max(b.aabb_width for b in group_bundles)
             with self.tracer.span("schedule", phase="schedule") as sp:
                 sched = schedule_queries(
-                    self.pipeline, gas_for(widest.aabb_width), queries
+                    self.pipeline, gas_for(widest), queries
                 )
                 breakdown.fs += sched.fs_time
                 breakdown.opt += sched.sort_time
@@ -635,7 +686,13 @@ class RTNNEngine:
                 ],
             }
         if len(groups) > 1:
-            extras["fused"] = {"n_groups": len(groups), "group_sizes": sizes}
+            extras["fused"] = {
+                "n_groups": len(groups),
+                "group_sizes": sizes,
+                "group_bundles": len(group_bundles),
+                "shapes": len({self._launch_shape(b) for b in group_bundles}),
+                "launches": len(launches),
+            }
         report = RunReport(
             breakdown=breakdown,
             is_calls=total_is,

@@ -6,10 +6,13 @@ cache-friendly launch. A :class:`MicroBatch` holds requests that share
 a compatibility key (point-set fingerprint, mode, ``k``, ``radius``);
 :func:`execute_batch` hands their query groups to
 :meth:`RTNNEngine.search_fused`, which charges the point transfer once,
-schedules once over the union, resolves every GAS through the shared
-cache — and still partitions/bundles *per request*, so each request's
-rows come back bit-identical to a solo engine call (asserted in
-``tests/test_serve_batcher.py`` and the serve-smoke CI job).
+runs one megacell pass and one scheduling pass over the union, bundles
+*per request* as a solo call would, and then launches once per bundle
+shape (GAS and sphere test) across all requests. Rays never read each
+other's state, so each request's rows come back bit-identical to a
+solo engine call (asserted in ``tests/test_serve_batcher.py`` and the
+serve-smoke CI job, which also fails on a fused batch with more
+launches than bundle shapes).
 
 ``batch occupancy`` (requests per launch) is the service's headline
 coalescing metric: occupancy 1 means the window never caught two

@@ -43,6 +43,9 @@ class ServiceMetrics:
     shard_batches: int = 0
     shard_failovers: int = 0
     shard_brute: int = 0
+    fused_batches: int = 0
+    fused_launches: int = 0
+    excess_launches: int = 0
     latencies_s: list = field(default_factory=list)
     queue_waits_s: list = field(default_factory=list)
     occupancies: list = field(default_factory=list)
@@ -70,6 +73,17 @@ class ServiceMetrics:
         self.shard_batches += 1
         self.shard_failovers += int(extra.get("failovers", 0))
         self.shard_brute += int(extra.get("brute_shards", 0))
+
+    def observe_fused_batch(self, extra: dict) -> None:
+        """Fold one fused launch's ``RunReport.extras["fused"]`` record.
+
+        A fused pass launches once per bundle shape; ``excess_launches``
+        counts launches beyond that, which should stay 0.
+        """
+        launches = int(extra["launches"])
+        self.fused_batches += 1
+        self.fused_launches += launches
+        self.excess_launches += max(0, launches - int(extra["shapes"]))
 
     def observe_request(
         self, latency_s: float, queue_wait_s: float, degraded: bool
@@ -114,6 +128,9 @@ class ServiceMetrics:
                 "queries_mean": (
                     float(np.mean(self.batch_queries)) if self.batch_queries else None
                 ),
+                "fused": self.fused_batches,
+                "fused_launches": self.fused_launches,
+                "excess_launches": self.excess_launches,
             },
             "latency_s": {
                 "p50": self._pct(self.latencies_s, 50),

@@ -430,12 +430,16 @@ class SearchService:
                 )
             # A sharded engine reports shard-level degradation (brute
             # fallback on dead shards, replica failovers) per fused
-            # group — i.e. per request — in the launch report.
-            shard_extra = None
+            # group — i.e. per request — in the launch report; a fused
+            # engine pass reports its launches per bundle shape.
+            shard_extra = fused_extra = None
             if results and results[0].report is not None:
                 shard_extra = results[0].report.extras.get("shard")
+                fused_extra = results[0].report.extras.get("fused")
             if shard_extra is not None:
                 self.metrics.observe_shard_batch(shard_extra)
+            if fused_extra is not None:
+                self.metrics.observe_fused_batch(fused_extra)
             group_degraded = (shard_extra or {}).get("degraded_groups") or []
             sp.add(
                 occupancy=batch.occupancy,

@@ -37,28 +37,104 @@ def _groups(points, sizes=(24, 1, 40), seed=5):
 # ----------------------------------------------------------------------
 # search_fused: the bit-identity contract
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("kind", ["knn", "range"])
-@pytest.mark.parametrize("variant", ["full", "noopt"])
-def test_fused_groups_bit_identical_to_solo_calls(kind, variant):
+#: the configurations the fused path must agree with solo calls under:
+#: every optimization toggle, both KNN AABB sizings, and the three
+#: approximate knobs (shrunk AABBs, step budget, elided sphere test)
+VARIANTS = {
+    "full": RTNNConfig(),
+    "noopt": RTNNConfig(schedule=False, partition=False, bundle=False),
+    "partition-only": RTNNConfig(schedule=False),
+    "schedule-only": RTNNConfig(partition=False, bundle=False),
+    "equiv_volume": RTNNConfig(knn_aabb="equiv_volume"),
+    "aabb_shrink": RTNNConfig(aabb_shrink=0.7),
+    "step_budget": RTNNConfig(step_budget=20),
+    "elide_sphere_test": RTNNConfig(approx_elide_sphere_test=True),
+}
+
+
+def _random_groups(points, n_groups=7, seed=5):
+    """Seeded random group sizes, always with an empty and a 1-query group."""
+    sizes = default_rng(seed).integers(2, 40, n_groups)
+    sizes[1], sizes[4] = 0, 1
+    return _groups(points, sizes=tuple(int(s) for s in sizes), seed=seed)
+
+
+def _solo(points, cfg, kind, g, radius, k):
+    solo = RTNNEngine(points, config=cfg)
+    if kind == "knn":
+        return solo.knn_search(g, k=k, radius=radius)
+    return solo.range_search(g, radius=radius, k=k)
+
+
+# (kind, k): range with k=2 truncates most rows (Any-Hit stops at the
+# first k hits found), so traversal-order-dependent rows are covered
+@pytest.mark.parametrize(
+    "kind,k", [("knn", 6), ("range", 6), ("range", 2)],
+    ids=["knn", "range", "range-k2"],
+)
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_fused_groups_bit_identical_to_solo_calls(kind, k, variant):
     points = _world()
-    groups = _groups(points)
-    cfg = (
-        RTNNConfig()
-        if variant == "full"
-        else RTNNConfig(schedule=False, partition=False, bundle=False)
+    groups = _random_groups(points)
+    cfg = VARIANTS[variant]
+    fused = RTNNEngine(points, config=cfg).search_fused(
+        kind, groups, radius=0.15, k=k
     )
-    engine = RTNNEngine(points, config=cfg)
-    fused = engine.search_fused(kind, groups, radius=0.15, k=6)
-    assert len(fused) == len(groups)
+    assert len(fused) == len(groups) >= 6
+    assert [r.n_queries for r in fused] == [len(g) for g in groups]
     for g, res in zip(groups, fused):
-        solo = RTNNEngine(points, config=cfg)
-        if kind == "knn":
-            direct = solo.knn_search(g, k=6, radius=0.15)
-        else:
-            direct = solo.range_search(g, radius=0.15, k=6)
+        direct = _solo(points, cfg, kind, g, 0.15, k)
         assert np.array_equal(res.indices, direct.indices)
         assert np.array_equal(res.counts, direct.counts)
         assert np.array_equal(res.sq_distances, direct.sq_distances)
+    if kind == "range" and k == 2:
+        full = RTNNEngine(points).count_in_radius(np.concatenate(groups), 0.15)
+        assert (full.counts > k).mean() > 0.5  # most rows truncated
+    if variant == "step_budget":
+        assert fused[0].report.extras["budget"]["exhausted_queries"] > 0
+
+
+@pytest.mark.parametrize("kind", ["knn", "range"])
+def test_fused_call_partitions_once_and_launches_once_per_shape(
+    kind, monkeypatch
+):
+    import repro.core.engine as engine_mod
+    from repro.core.cache import quantize_half_width
+
+    points = _world()
+    groups = _random_groups(points, n_groups=6, seed=9)
+    megacell_calls = []
+    decisions = []
+    compute = engine_mod.compute_megacells
+    bundle = engine_mod.bundle_partitions
+
+    def counting_compute(*args, **kw):
+        megacell_calls.append(len(args[1]))
+        return compute(*args, **kw)
+
+    def recording_bundle(*args, **kw):
+        decisions.append(bundle(*args, **kw))
+        return decisions[-1]
+
+    monkeypatch.setattr(engine_mod, "compute_megacells", counting_compute)
+    monkeypatch.setattr(engine_mod, "bundle_partitions", recording_bundle)
+    for g in groups:
+        if len(g):
+            _solo(points, RTNNConfig(), kind, g, 0.15, 6)
+    solo_bundles = [b for d in decisions for b in d.bundles]
+    shapes = {
+        (quantize_half_width(b.aabb_width / 2.0), b.sphere_test)
+        for b in solo_bundles
+    }
+    megacell_calls.clear()
+
+    fused = RTNNEngine(points).search_fused(kind, groups, radius=0.15, k=6)
+    assert megacell_calls == [sum(len(g) for g in groups)]
+    report = fused[0].report
+    assert report.n_bundles == len(shapes) < len(solo_bundles)
+    info = report.extras["fused"]
+    assert info["group_bundles"] == len(solo_bundles)
+    assert info["shapes"] == info["launches"] == len(shapes)
 
 
 def test_fused_handles_empty_group():
@@ -86,6 +162,7 @@ def test_fused_report_records_group_structure():
     info = fused[0].report.extras["fused"]
     assert info["n_groups"] == 2
     assert list(info["group_sizes"]) == [10, 20]
+    assert info["launches"] == fused[0].report.n_bundles
     # both results share the single fused report
     assert fused[1].report is fused[0].report
 

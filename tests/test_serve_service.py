@@ -98,6 +98,10 @@ def test_session_serve_surface_and_report_extras(world):
     assert svc["requests"]["completed"] == 3
     assert svc["requests"]["rejected"] == 0
     assert svc["batches"]["occupancy_max"] == 3
+    # the fused batch launched once per bundle shape
+    assert svc["batches"]["fused"] == 1
+    assert svc["batches"]["fused_launches"] >= 1
+    assert svc["batches"]["excess_launches"] == 0
     assert svc["latency_s"]["p50"] is not None
     assert svc["latency_s"]["p99"] >= svc["latency_s"]["p50"]
     # the serve spans landed on the session tracer

@@ -174,6 +174,21 @@ def test_fused_groups_match_solo(uniform):
         assert tk["round_radii"][: stk["rounds"]] == stk["round_radii"]
 
 
+@pytest.mark.parametrize("cloud", ["uniform", "clustered"])
+def test_fused_many_groups_match_solo(cloud, request):
+    # Every expansion round relaunches the unsatisfied queries of all
+    # groups through one fused pass: one megacell call, one launch per
+    # bundle shape. Each group's rows must still be its solo rows.
+    points, queries = request.getfixturevalue(cloud)
+    cuts = [0, 1, 5, 5, 12, len(queries)]
+    groups = [queries[a:b] for a, b in zip(cuts[:-1], cuts[1:])]
+    fused = RTNNEngine(points).search_fused("true_knn", groups, None, K)
+    assert len(fused) == len(groups) >= 4
+    for i, (g, res) in enumerate(zip(groups, fused)):
+        _assert_identical(res, RTNNEngine(points).true_knn_search(g, k=K),
+                          f"group {i}")
+
+
 def test_fused_mixed_dtype_is_normalized_not_upcast_mid_pass(uniform):
     # Satellite: a float32 group fused with a float64 group must give
     # each group the same bits as a solo float64 call — queries are
